@@ -1,12 +1,19 @@
 """Top-level GPU: kernel launch, CTA dispatch, and the simulation loop.
 
-The loop steps all SMs one cycle at a time; whenever no SM can issue, it
-fast-forwards directly to the earliest cycle at which any warp might
-become ready (a memory writeback, a fence completing, a BOWS back-off
-delay expiring).  Fast-forwarding is purely a host-performance
-optimization: per-cycle accounting (occupancy sampling, CAWA stall
-charging) is weighted by the skipped interval, so results are identical
-to stepping every cycle.
+The loop advances one cycle at a time over the SMs that hold warps, and
+steps an SM only once ``now`` reaches its wake cycle (``SM._wake``): the
+first cycle at which it can issue, which the fast engine recomputes
+after every step and a CTA launch resets to 0.  CAWA SMs and
+reference-engine SMs are due at every cycle, since CAWA charges its
+stall counters at each step.  An SM that is not stepped could not have
+issued, so its schedulers' empty issue slots are added to
+``stats.issue_slots`` in bulk before the sampler and monitor run.
+Whenever no SM issues, the loop fast-forwards directly to the earliest
+cycle at which any warp might become ready (a memory writeback, a fence
+completing, a BOWS back-off delay expiring).  Both are purely
+host-performance optimizations: per-cycle accounting (occupancy
+sampling, CAWA stall charging) is weighted by the skipped interval, so
+results are identical to stepping every SM every cycle.
 
 If no warp can ever become ready again the workload has deadlocked; the
 simulator raises :class:`SimulationDeadlock` with per-warp diagnostics —
@@ -262,23 +269,41 @@ class Simulation:
         bus = self.obs.bus if self.obs is not None else None
         stats = self.stats
         now = self.now
-        # Bound methods hoisted out of the cycle loop (locals only —
-        # rebuilt on every call, never part of checkpointed state).
-        steps = [sm.step for sm in sms]
-        next_events = [sm.next_event for sm in sms]
-        occupancies = [sm.accumulate_occupancy for sm in sms]
+        num_sms = len(sms)
+        n_sched = config.num_schedulers_per_sm
+        # The SMs holding warps, the only ones that can issue.  A local:
+        # rebuilt only when a CTA dispatches or an SM empties, and never
+        # part of checkpointed state.
+        active = [sm for sm in sms if sm.warps]
         try:
             while True:
                 if stop_cycle is not None and now >= stop_cycle:
                     return False
                 issued = 0
-                for step in steps:
-                    issued += step(now)
-                if self.next_cta < launch.grid_dim:
-                    self._dispatch()  # refill any SM that freed CTA slots
-                if (self.next_cta >= launch.grid_dim
-                        and all(sm.idle for sm in sms)):
-                    break
+                stepped = 0
+                regroup = False
+                for sm in active:
+                    if sm._wake <= now:
+                        stepped += 1
+                        n = sm.step(now)
+                        if n:
+                            issued += n
+                            if not sm.warps:
+                                regroup = True
+                # An SM that was not stepped could not have issued: count
+                # its schedulers' empty issue slots here instead.
+                stats.issue_slots += (num_sms - stepped) * n_sched
+                if issued:
+                    # Only an issue retires a CTA, so only then can an SM
+                    # empty or free slots for the dispatcher to refill.
+                    if self.next_cta < launch.grid_dim:
+                        before = self.next_cta
+                        self._dispatch()
+                        regroup = regroup or self.next_cta != before
+                    if regroup:
+                        active = [sm for sm in sms if sm.warps]
+                        if not active and self.next_cta >= launch.grid_dim:
+                            break
                 if sampler is not None and now >= sampler.next_sample:
                     sampler.sample(now)  # before the monitor, which can raise
                 if monitor is not None and now >= monitor.next_sample:
@@ -302,11 +327,13 @@ class Simulation:
                 if issued:
                     next_now = now + 1
                 else:
-                    events = [
-                        e for e in (ne(now) for ne in next_events)
-                        if e is not None
-                    ]
-                    if not events:
+                    next_now = None
+                    for sm in active:
+                        e = sm.next_event(now)
+                        if e is not None and (next_now is None
+                                              or e < next_now):
+                            next_now = e
+                    if next_now is None:
                         report = build_hang_report(
                             "deadlock", now, sms, memory=self.memory,
                             stats=stats, tracer=self.tracer,
@@ -314,10 +341,9 @@ class Simulation:
                             bus=bus,
                         )
                         raise SimulationDeadlock(report.describe(), report)
-                    next_now = min(events)
                 dt = next_now - now
-                for occupancy in occupancies:
-                    occupancy(dt)
+                for sm in active:
+                    sm.accumulate_occupancy(dt)
                 now = next_now
         finally:
             self.now = now

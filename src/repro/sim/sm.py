@@ -76,6 +76,10 @@ WarpKey = Tuple[int, int]  # (cta_id, warp_in_cta)
 ENGINES = ("fast", "reference")
 
 
+#: ``_wake`` of an SM that can never issue again without a CTA launch.
+_NEVER = 1 << 62
+
+
 def _noop_trace(cycle, warp, instr, active_lanes) -> None:
     """Pre-bound sink used when no tracer is attached (hot path)."""
 
@@ -159,6 +163,12 @@ class SM:
         #: (the paper's "programmer or compiler identified" mode).
         self._static_sibs = program.true_sibs()
         self._last_charge = 0
+        #: First cycle at which this SM can issue again; the GPU loop
+        #: steps the SM only once ``now`` reaches it.  Recomputed after
+        #: every fast-engine step (see :meth:`_step_fast`); it stays 0
+        #: -- always due -- on the reference engine and under CAWA,
+        #: whose stall charging must run at every visited cycle.
+        self._wake = 0
 
         self.engine = engine
         self._fast = engine == "fast"
@@ -280,6 +290,7 @@ class SM:
                 self._n_live += 1
         for scheduler in self.schedulers:
             scheduler.invalidate_order()
+        self._wake = 0
 
     @property
     def resident_ctas(self) -> int:
@@ -339,6 +350,12 @@ class SM:
         whose wake-up cycle arrived are drained from the wait heap into
         their scheduler's ready set, and issuing warps are re-registered
         with a freshly cached ``_ready_from``.
+
+        Afterwards it sets ``_wake``, the first cycle at which a step can
+        issue: ``now + 1`` while a non-backed-off warp is ready,
+        otherwise the earliest of the wait-heap top and the ready
+        backed-off warps' pending delays.  Until then a step would only
+        count empty issue slots, which the GPU loop does in bulk.
         """
         if self.cawa is not None:
             self._charge_cawa(now)
@@ -391,6 +408,21 @@ class SM:
                 self._refresh(warp)
                 if not warp.at_barrier:
                     self._register(warp, now)
+        if self.cawa is not None:
+            return issued  # CAWA charges stalls every cycle: always due
+        for ready in self._ready_normal:
+            if ready:
+                self._wake = now + 1
+                return issued
+        # Every heap key is > now here: due entries were drained above,
+        # and _register pushes only keys > now.
+        wake = heap[0][0] if heap else _NEVER
+        for backed in self._ready_backed:
+            for slot in backed:
+                t = warps[slot].pending_delay_until
+                if t < wake:
+                    wake = t
+        self._wake = wake if wake > now else now + 1
         return issued
 
     def _refresh(self, warp: Warp) -> None:
@@ -468,11 +500,12 @@ class SM:
     def _next_event_fast(self, now: int) -> Optional[int]:
         """Fast-engine :meth:`next_event` over the cached per-warp scalars.
 
-        Requires :meth:`_step_fast` to have drained the wait heap at
-        ``now`` (the GPU loop always steps before asking).  The ready
-        sets and the waiting map then partition exactly the warps the
-        reference scan would visit (non-finished, non-barrier), so no
-        per-warp state checks are needed:
+        Requires every wait-heap key to be ``> now``: either the SM
+        stepped at ``now`` (which drains due entries), or it was not
+        stepped because ``_wake > now``, and ``_wake`` never exceeds the
+        heap top.  The ready sets and the waiting map then partition
+        exactly the warps the reference scan would visit (non-finished,
+        non-barrier), so no per-warp state checks are needed:
 
         * a ready non-backed-off warp contributes ``now + 1`` — the
           smallest candidate any warp can contribute, so return it;

@@ -18,6 +18,11 @@ order is part of the contract), and both sync and sync-free kernels.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.api import simulate
@@ -92,12 +97,12 @@ def test_engines_identical_on_pascal_preset():
 
 
 def _begin(kernel: str, config: GPUConfig, engine: str,
-           obs=None, sanitize=None):
+           obs=None, sanitize=None, params=None):
     """A live mid-runnable Simulation over a fresh workload build."""
     from repro.kernels import build as build_workload
     from repro.sim.gpu import GPU
 
-    workload = build_workload(kernel, **PARAMS[kernel])
+    workload = build_workload(kernel, **(params or PARAMS[kernel]))
     gpu = GPU(config, memory=workload.memory, engine=engine, obs=obs,
               sanitizer=sanitize)
     return workload, gpu.begin(workload.launch)
@@ -147,3 +152,139 @@ def test_sanitizer_is_invisible_to_the_golden_contract(kernel):
         assert sanitized.stats.summary() == baseline.stats.summary()
         assert sanitized.cycles == baseline.cycles
         assert sanitized.sanitizer.ok, sanitized.sanitizer.render()
+
+
+# ----------------------------------------------------------------------
+# Frozen digests at the GTX480 shape
+#
+# The tests above compare the engines against each other, which cannot
+# catch a bug in code both engines share (the GPU cycle loop, CTA
+# dispatch).  These compare both engines against digests frozen from a
+# trusted commit instead: the full ``stats.summary()``, every raw
+# ``SimStats`` counter, the cycle count and sha256 hashes of the obs
+# event stream and time series, on the 15-SM x 48-warp machine where
+# most SMs sit empty or stalled.
+
+GOLDEN_GTX480 = Path(__file__).parent / "data" / "golden_gtx480.json"
+
+_HT = dict(n_threads=256, n_buckets=16, items_per_thread=1, block_dim=64)
+_ATM = dict(n_threads=128, n_accounts=16, rounds=1, block_dim=32)
+
+#: id -> (kernel, params, preset kwargs).  ``histogram-oversize`` launches
+#: 128 one-warp CTAs on a machine that holds 120, so CTAs retire and are
+#: replaced mid-run; ``vecadd-refill`` allows one CTA per SM, so every SM
+#: empties and is refilled, under CAWA's per-step stall charging.
+GTX480_CASES = {
+    "ht-gto": ("ht", _HT, {}),
+    "ht-bows-adaptive": ("ht", _HT, {"bows": "adaptive"}),
+    "ht-cawa": ("ht", _HT, {"scheduler": "cawa"}),
+    "ht-lrr": ("ht", _HT, {"scheduler": "lrr"}),
+    "atm-gto": ("atm", _ATM, {}),
+    "atm-bows-adaptive": ("atm", _ATM, {"bows": "adaptive"}),
+    "histogram-gto": (
+        "histogram", dict(n_threads=512, per_thread=2, block_dim=64), {}),
+    "ht-perturbed": ("ht", _HT, {"perturb": PerturbConfig(
+        seed=3, sched_jitter=0.2, mem_jitter_cycles=8,
+        rotation_period=101)}),
+    "histogram-oversize": (
+        "histogram", dict(n_threads=4096, per_thread=1, block_dim=32), {}),
+    "vecadd-refill": (
+        "vecadd", dict(n_threads=1536, per_thread=1, block_dim=32),
+        {"scheduler": "cawa", "max_ctas_per_sm": 1}),
+}
+
+
+def _gtx480_config(preset_kwargs) -> GPUConfig:
+    return GPUConfig.preset("fermi", num_sms=15, max_warps_per_sm=48,
+                            **preset_kwargs)
+
+
+def _sha256(payload) -> str:
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def gtx480_digest(case: str, engine: str) -> dict:
+    """Summary, counters, cycles and obs hashes of one validated run."""
+    kernel, params, preset_kwargs = GTX480_CASES[case]
+    result = simulate(kernel, config=_gtx480_config(preset_kwargs),
+                      params=params, engine=engine, obs=True)
+    obs = result.obs.to_dict()
+    return {
+        "cycles": result.cycles,
+        # A JSON round trip, so a fresh digest compares equal to the
+        # committed one (tuples become lists).
+        "summary": json.loads(json.dumps(result.stats.summary())),
+        # Every raw counter, including the unrounded occupancy sums and
+        # ``issue_slots``, which the summary only shows as ratios.
+        "counters": json.loads(json.dumps(dataclasses.asdict(result.stats))),
+        "events_sha256": _sha256(obs["events"]),
+        "series_sha256": _sha256(obs["series"]),
+    }
+
+
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+@pytest.mark.parametrize("case", sorted(GTX480_CASES))
+def test_gtx480_runs_match_frozen_digests(case, engine):
+    frozen = json.loads(GOLDEN_GTX480.read_text())[case]
+    assert gtx480_digest(case, engine) == frozen
+
+
+#: ht at 640 threads places 8 CTAs on SM0 and 2 on SM1, leaving 13 of
+#: the 15 SMs empty for the whole run.
+_HT_TWO_SMS = dict(n_threads=640, n_buckets=16, items_per_thread=1,
+                   block_dim=64)
+
+
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+def test_checkpoint_resume_with_sleeping_sms(engine):
+    """A checkpoint taken while most SMs are empty and (fast engine) the
+    occupied ones sleep until a future wake cycle resumes bitwise: the
+    wake cycles pickle with their SMs, and the loop's list of occupied
+    SMs is rebuilt on resume rather than checkpointed."""
+    from repro.sim.checkpoint import checkpoint_bytes_roundtrip
+
+    config = _gtx480_config({"bows": "adaptive"})
+    baseline = simulate("ht", config=config, params=_HT_TWO_SMS,
+                        engine=engine)
+    for mode in ("plain", "obs", "sanitize"):
+        workload, sim = _begin(
+            "ht", config, engine,
+            obs=True if mode == "obs" else None,
+            sanitize=True if mode == "sanitize" else None,
+            params=_HT_TWO_SMS,
+        )
+        stop = baseline.cycles // 10
+        while True:
+            assert not sim.run_until(stop), mode
+            empty = [sm for sm in sim.sms if not sm.warps]
+            sleeping = [sm for sm in sim.sms
+                        if sm.warps and sm._wake > sim.now]
+            if engine == "reference" or sleeping:
+                break
+            stop += 1
+        assert len(empty) == 13, mode
+        wakes = [sm._wake for sm in sim.sms]
+        restored = checkpoint_bytes_roundtrip(sim)
+        assert [sm._wake for sm in restored.sms] == wakes, mode
+        result = restored.run()
+        assert result.cycles == baseline.cycles, mode
+        assert result.stats.summary() == baseline.stats.summary(), mode
+        assert (dataclasses.asdict(result.stats)
+                == dataclasses.asdict(baseline.stats)), mode
+        workload.validate(result.memory)
+
+
+if __name__ == "__main__":
+    # Regenerate the frozen digests:
+    #   PYTHONPATH=src python tests/test_golden_equivalence.py
+    # Only do this on a commit whose simulator output is trusted; the
+    # file is an oracle, so regenerating it on a suspect tree hides the
+    # bug it exists to catch.
+    digests = {case: gtx480_digest(case, "fast")
+               for case in sorted(GTX480_CASES)}
+    for case in digests:
+        assert gtx480_digest(case, "reference") == digests[case], case
+    GOLDEN_GTX480.write_text(json.dumps(digests, indent=1, sort_keys=True)
+                             + "\n")
+    print(f"wrote {len(digests)} digests to {GOLDEN_GTX480}")
